@@ -272,6 +272,17 @@ func BenchmarkDijkstra(b *testing.B) {
 	}
 }
 
+// BenchmarkHopBFS measures one least-hop-count BFS over the 2000-AS
+// benchmark topology.
+func BenchmarkHopBFS(b *testing.B) {
+	w := world(b)
+	hops := make([]int32, w.NumAS())
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		w.Graph.HopBFS(i%w.NumAS(), hops)
+	}
+}
+
 // BenchmarkChordLookupPath measures one multi-hop Chord route.
 func BenchmarkChordLookupPath(b *testing.B) {
 	c, err := dht.NewChord(2000, 1)

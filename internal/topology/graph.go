@@ -15,6 +15,8 @@ package topology
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"sync"
 	"time"
 )
 
@@ -44,17 +46,25 @@ type Graph struct {
 	endNodes []float64 // per-AS end-node population (sampling weight)
 	region   []int16   // per-AS geographic region
 	numLinks int
+	// minLat and maxLat bound the link latencies; they size the
+	// bucket queue's bucket width and ring.
+	minLat, maxLat Micros
+	queues         sync.Pool // *bucketQueue scratch for Dijkstra and HopBFS
 }
 
 // NewGraph builds an empty graph with n ASs; links are added by the
 // generator. intra latencies default to zero.
 func newGraph(n int) *Graph {
-	return &Graph{
+	g := &Graph{
 		adj:      make([][]edge, n),
 		intra:    make([]Micros, n),
 		endNodes: make([]float64, n),
 		region:   make([]int16, n),
 	}
+	g.queues.New = func() any {
+		return &bucketQueue{next: make([]int32, n), prev: make([]int32, n)}
+	}
+	return g
 }
 
 // Region returns the geographic region index of as.
@@ -101,17 +111,26 @@ func (g *Graph) hasEdge(a, b int) bool {
 	return false
 }
 
-// addEdge inserts an undirected link; duplicate and self links are
-// rejected with an error.
+// addEdge inserts an undirected link; duplicate and self links and
+// negative latencies are rejected with an error.
 func (g *Graph) addEdge(a, b int, lat Micros) error {
 	if a == b {
 		return fmt.Errorf("topology: self link at AS %d", a)
+	}
+	if lat < 0 {
+		return fmt.Errorf("topology: negative latency %d µs on link %d–%d", lat, a, b)
 	}
 	if g.hasEdge(a, b) {
 		return fmt.Errorf("topology: duplicate link %d–%d", a, b)
 	}
 	g.adj[a] = append(g.adj[a], edge{to: int32(b), lat: lat})
 	g.adj[b] = append(g.adj[b], edge{to: int32(a), lat: lat})
+	if g.numLinks == 0 || lat < g.minLat {
+		g.minLat = lat
+	}
+	if lat > g.maxLat {
+		g.maxLat = lat
+	}
 	g.numLinks++
 	return nil
 }
@@ -119,9 +138,81 @@ func (g *Graph) addEdge(a, b int, lat Micros) error {
 // InfMicros marks an unreachable AS in distance vectors.
 const InfMicros = Micros(math.MaxInt64)
 
+// maxBuckets caps the size of Dijkstra's bucket ring.
+const maxBuckets = 4096
+
+// notQueued marks, in bucketQueue.prev, an AS that is in no bucket.
+const notQueued = -2
+
+// bucketQueue is Dijkstra's scratch: a ring of buckets, each a doubly
+// linked list threaded through per-AS next/prev links. Between uses
+// every bucket is empty (head all -1); next and prev are only read for
+// ASs queued in the current pass, so they need no reset, and HopBFS may
+// use next as scratch.
+type bucketQueue struct {
+	head       []int32 // first AS in each bucket, -1 if empty
+	next, prev []int32 // list links; prev is -1 at a head, notQueued off-list
+}
+
+// grow makes the ring at least buckets long.
+func (q *bucketQueue) grow(buckets int) {
+	if len(q.head) >= buckets {
+		return
+	}
+	q.head = make([]int32, buckets)
+	for i := range q.head {
+		q.head[i] = -1
+	}
+}
+
+func (q *bucketQueue) push(b int, v int32) {
+	h := q.head[b]
+	q.next[v], q.prev[v] = h, -1
+	if h >= 0 {
+		q.prev[h] = v
+	}
+	q.head[b] = v
+}
+
+func (q *bucketQueue) unlink(b int, v int32) {
+	n, p := q.next[v], q.prev[v]
+	if p >= 0 {
+		q.next[p] = n
+	} else {
+		q.head[b] = n
+	}
+	if n >= 0 {
+		q.prev[n] = p
+	}
+	q.prev[v] = notQueued
+}
+
+// bucketGeometry returns log2 of Dijkstra's bucket width W and the size
+// of its bucket ring. W is the largest power of two no larger than the
+// smallest link latency, widened until at most maxBuckets buckets cover
+// the largest link latency; the ring is the smallest power of two that
+// covers it.
+func (g *Graph) bucketGeometry() (shift uint, buckets int) {
+	if g.minLat > 0 {
+		shift = uint(bits.Len64(uint64(g.minLat)) - 1)
+	}
+	for g.maxLat>>shift+2 > maxBuckets {
+		shift++
+	}
+	return shift, 1 << bits.Len64(uint64(g.maxLat>>shift+1))
+}
+
 // Dijkstra fills dist with the minimum inter-AS path latency (sum of link
 // latencies, excluding endpoint intra-AS terms) from src to every AS.
 // dist must have length NumAS. Unreachable ASs get InfMicros.
+//
+// The queue is Dial's bucket queue (DESIGN.md §4): bucket i of the ring
+// holds the ASs whose tentative distance d has d>>shift ≡ i (mod ring
+// size). Live distances span at most maxLat>>shift+2 consecutive
+// buckets, so the ring never aliases. Every decrease (re)queues the AS
+// and the loop runs until nothing is queued, so the result is exact for
+// any bucket width; a width no larger than the smallest link makes every
+// AS in the lowest non-empty bucket final, so each AS is scanned once.
 func (g *Graph) Dijkstra(src int, dist []Micros) {
 	if len(dist) != g.NumAS() {
 		panic(fmt.Sprintf("topology: Dijkstra dist length %d, want %d", len(dist), g.NumAS()))
@@ -129,20 +220,36 @@ func (g *Graph) Dijkstra(src int, dist []Micros) {
 	for i := range dist {
 		dist[i] = InfMicros
 	}
+	shift, buckets := g.bucketGeometry()
+	mask := buckets - 1
+	q := g.queues.Get().(*bucketQueue)
+	defer g.queues.Put(q)
+	q.grow(buckets)
+
 	dist[src] = 0
-	// Hand-rolled binary heap: container/heap's interface{} boxing would
-	// allocate per push, and Dijkstra dominates every figure-scale run.
-	pq := distHeap{items: []distItem{{as: int32(src), d: 0}}}
-	for len(pq.items) > 0 {
-		top := pq.pop()
-		if top.d > dist[top.as] {
-			continue // stale entry
+	q.push(0, int32(src))
+	for b, queued := 0, 1; queued > 0; {
+		u := q.head[b]
+		if u < 0 {
+			b = (b + 1) & mask
+			continue
 		}
-		for _, e := range g.adj[top.as] {
-			if nd := top.d + e.lat; nd < dist[e.to] {
-				dist[e.to] = nd
-				pq.push(distItem{as: e.to, d: nd})
+		q.unlink(b, u)
+		queued--
+		du := dist[u]
+		for _, e := range g.adj[u] {
+			v, nd := e.to, du+e.lat
+			old := dist[v]
+			if nd >= old {
+				continue
 			}
+			if old != InfMicros && q.prev[v] != notQueued {
+				q.unlink(int(old>>shift)&mask, v)
+			} else {
+				queued++
+			}
+			dist[v] = nd
+			q.push(int(nd>>shift)&mask, v)
 		}
 	}
 }
@@ -157,16 +264,20 @@ func (g *Graph) HopBFS(src int, hops []int32) {
 	for i := range hops {
 		hops[i] = -1
 	}
+	// The FIFO borrows the bucket queue's next array: each AS is
+	// enqueued at most once, so NumAS slots suffice.
+	q := g.queues.Get().(*bucketQueue)
+	defer g.queues.Put(q)
+	fifo := q.next
 	hops[src] = 0
-	queue := make([]int32, 0, 64)
-	queue = append(queue, int32(src))
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
+	fifo[0] = int32(src)
+	for head, tail := 0, 1; head < tail; head++ {
+		cur := fifo[head]
 		for _, e := range g.adj[cur] {
 			if hops[e.to] < 0 {
 				hops[e.to] = hops[cur] + 1
-				queue = append(queue, e.to)
+				fifo[tail] = e.to
+				tail++
 			}
 		}
 	}
@@ -194,50 +305,4 @@ func (g *Graph) RTT(s, t int, dist []Micros) Micros {
 		return InfMicros
 	}
 	return 2 * ow
-}
-
-type distItem struct {
-	as int32
-	d  Micros
-}
-
-// distHeap is a minimal typed binary min-heap on d.
-type distHeap struct {
-	items []distItem
-}
-
-func (h *distHeap) push(it distItem) {
-	h.items = append(h.items, it)
-	i := len(h.items) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h.items[parent].d <= h.items[i].d {
-			break
-		}
-		h.items[parent], h.items[i] = h.items[i], h.items[parent]
-		i = parent
-	}
-}
-
-func (h *distHeap) pop() distItem {
-	top := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items = h.items[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < last && h.items[l].d < h.items[smallest].d {
-			smallest = l
-		}
-		if r < last && h.items[r].d < h.items[smallest].d {
-			smallest = r
-		}
-		if smallest == i {
-			return top
-		}
-		h.items[i], h.items[smallest] = h.items[smallest], h.items[i]
-		i = smallest
-	}
 }

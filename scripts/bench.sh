@@ -58,7 +58,10 @@
 # path — at or under BENCH_MAX_ALLOCS_INTO (default 0) and
 # BENCH_MAX_BYTES_INTO (default 16). Any regression — a pool bypassed,
 # a buffer escaping, a closure sneaking back into the demux path —
-# fails CI the day it lands.
+# fails CI the day it lands. The simulator's shortest-path passes are
+# held to the same standard: BenchmarkDijkstra and BenchmarkHopBFS must
+# stay at 0 allocs/op (their queue scratch comes from a per-graph pool,
+# DESIGN.md §4).
 #
 # Recover mode measures crash recovery: BenchmarkWALReplay (cold-start
 # replay of BENCH_RECOVER_ENTRIES WAL records, default 50k; the
@@ -352,23 +355,29 @@ alloc)
     out="BENCH_${date_tag}.json"
     raw=$(mktemp)
     trap 'rm -f "$raw"' EXIT
-    run_bench '^(BenchmarkLookup64ClientsV2|BenchmarkLookupInto64ClientsV2|BenchmarkTCPLookup)$' | tee "$raw"
+    run_bench '^(BenchmarkLookup64ClientsV2|BenchmarkLookupInto64ClientsV2|BenchmarkTCPLookup|BenchmarkDijkstra|BenchmarkHopBFS)$' | tee "$raw"
 
     v2_allocs=$(min_allocs BenchmarkLookup64ClientsV2 "$raw")
     v2_bytes=$(min_bytes BenchmarkLookup64ClientsV2 "$raw")
     into_allocs=$(min_allocs BenchmarkLookupInto64ClientsV2 "$raw")
     into_bytes=$(min_bytes BenchmarkLookupInto64ClientsV2 "$raw")
+    dijkstra_allocs=$(min_allocs BenchmarkDijkstra "$raw")
+    bfs_allocs=$(min_allocs BenchmarkHopBFS "$raw")
 
     records=$(
         bench_record "$date_tag" BenchmarkLookup64ClientsV2 "$raw"; printf ',\n'
         bench_record "$date_tag" BenchmarkLookupInto64ClientsV2 "$raw"; printf ',\n'
-        bench_record "$date_tag" BenchmarkTCPLookup "$raw")
+        bench_record "$date_tag" BenchmarkTCPLookup "$raw"; printf ',\n'
+        bench_record "$date_tag" BenchmarkDijkstra "$raw"; printf ',\n'
+        bench_record "$date_tag" BenchmarkHopBFS "$raw")
     append_records "$out" "$records"
     echo "wrote $out"
 
     echo "single-op v2 lookup: ${v2_allocs} allocs/op (budget ${max_allocs}), ${v2_bytes} B/op (budget ${max_bytes})"
     echo "LookupInto v2 lookup: ${into_allocs} allocs/op (budget ${max_allocs_into}), ${into_bytes} B/op (budget ${max_bytes_into})"
-    if [ "$v2_allocs" = "null" ] || [ "$v2_bytes" = "null" ] || [ "$into_allocs" = "null" ] || [ "$into_bytes" = "null" ]; then
+    echo "shortest-path passes: Dijkstra ${dijkstra_allocs} allocs/op, HopBFS ${bfs_allocs} allocs/op (budget 0)"
+    if [ "$v2_allocs" = "null" ] || [ "$v2_bytes" = "null" ] || [ "$into_allocs" = "null" ] || [ "$into_bytes" = "null" ] \
+        || [ "$dijkstra_allocs" = "null" ] || [ "$bfs_allocs" = "null" ]; then
         echo "FAIL: could not extract allocation figures" >&2
         exit 1
     fi
@@ -386,6 +395,10 @@ alloc)
     fi
     if [ "$into_bytes" -gt "$max_bytes_into" ]; then
         echo "FAIL: LookupInto path allocates $into_bytes B/op, budget $max_bytes_into" >&2
+        exit 1
+    fi
+    if [ "$dijkstra_allocs" -gt 0 ] || [ "$bfs_allocs" -gt 0 ]; then
+        echo "FAIL: a shortest-path pass allocates (Dijkstra $dijkstra_allocs/op, HopBFS $bfs_allocs/op, budget 0): its queue scratch is not being reused" >&2
         exit 1
     fi
     echo "single-op allocation budgets held"
