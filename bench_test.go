@@ -646,26 +646,37 @@ func BenchmarkRequestTraceOn(b *testing.B) {
 // entries. It is the fixture for the sustained-throughput benchmarks
 // comparing the sequential v1 transport against the multiplexed v2 one.
 func benchLookupCluster(b *testing.B, cfg client.Config, numGUIDs int) (*client.Cluster, []guid.GUID) {
+	return benchCluster(b, cfg, numGUIDs, 0, 1)
+}
+
+// benchCluster starts 2^bits mapping nodes splitting the address space
+// into equal prefixes, one AS each, and a K-replica cluster client
+// pre-loaded with numGUIDs entries (entry i locates at 10.0.i>>8.i).
+func benchCluster(b *testing.B, cfg client.Config, numGUIDs, bits, k int) (*client.Cluster, []guid.GUID) {
 	b.Helper()
 	tbl := prefixtable.New()
-	p, err := netaddr.NewPrefix(0, 0)
+	addrs := make(map[int]string)
+	for as := 0; as < 1<<bits; as++ {
+		p, err := netaddr.NewPrefix(netaddr.Addr(uint64(as)<<(32-bits)), bits)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := tbl.Announce(p, as); err != nil {
+			b.Fatal(err)
+		}
+		node := server.New(nil, nil)
+		addr, err := node.Start("127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { node.Close() })
+		addrs[as] = addr
+	}
+	resolver, err := core.NewResolver(guid.MustHasher(k, 0), tbl, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := tbl.Announce(p, 0); err != nil {
-		b.Fatal(err)
-	}
-	resolver, err := core.NewResolver(guid.MustHasher(1, 0), tbl, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	node := server.New(nil, nil)
-	addr, err := node.Start("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { node.Close() })
-	cl, err := client.NewWithConfig(resolver, map[int]string{0: addr}, cfg)
+	cl, err := client.NewWithConfig(resolver, addrs, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -904,6 +915,27 @@ func BenchmarkLookupInto64ClientsV2(b *testing.B) {
 		}()
 	}
 	wg.Wait()
+}
+
+// BenchmarkUpdate64ClientsV2 measures sustained single-op Updates with
+// 64 concurrent clients over the v2 transport: K=3 replicas over two
+// nodes, so each Update fans out one frame per distinct replica AS (one
+// or two). Every Update must be acked by all K placements. Allocations
+// include both nodes' store writes; scripts/bench.sh alloc gates them.
+func BenchmarkUpdate64ClientsV2(b *testing.B) {
+	cl, gs := benchCluster(b, client.Config{}, 1024, 1, 3)
+	nas := make([]store.NA, len(gs))
+	for i := range nas {
+		nas[i] = store.NA{AS: 1, Addr: netaddr.AddrFromOctets(10, 1, byte(i>>8), byte(i))}
+	}
+	runConcurrentLookups(b, func(i int) error {
+		k := i % len(gs)
+		acked, err := cl.Update(store.Entry{GUID: gs[k], NAs: nas[k : k+1], Version: uint64(i/len(gs)) + 2})
+		if err == nil && acked != 3 {
+			err = fmt.Errorf("update acked by %d of 3 placements", acked)
+		}
+		return err
+	})
 }
 
 // buildRecoveryDir writes a data dir whose whole population lives in

@@ -45,18 +45,15 @@ func (c *Cluster) InsertBatch(entries []store.Entry) (ackCounts []int, err error
 
 	groups := make(map[int][]int) // replica AS → entry indices
 	for i, e := range entries {
-		placements, err := c.resolver.Place(e.GUID)
+		rs, err := c.replicas(e.GUID)
 		if err != nil {
 			return nil, err
 		}
-		seen := make(map[int]bool, len(placements))
-		for _, p := range placements {
-			if seen[p.AS] {
-				continue
-			}
-			seen[p.AS] = true
-			groups[p.AS] = append(groups[p.AS], i)
+		for j := range rs.calls {
+			as := rs.calls[j].as
+			groups[as] = append(groups[as], i)
 		}
+		putReplicaSet(rs)
 	}
 
 	acks := make([]int32, len(entries))

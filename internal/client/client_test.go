@@ -6,6 +6,7 @@ package client
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -221,6 +222,22 @@ func TestReplicaFailureFallback(t *testing.T) {
 // cResolver exposes the resolver for test introspection.
 func cResolver(c *Cluster) *core.Resolver { return c.resolver }
 
+// distinctASs returns g's distinct replica ASs in placement order.
+func distinctASs(t *testing.T, c *Cluster, g guid.GUID) []int {
+	t.Helper()
+	placements, err := c.resolver.Place(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []int
+	for _, p := range placements {
+		if !slices.Contains(out, p.AS) {
+			out = append(out, p.AS)
+		}
+	}
+	return out
+}
+
 func TestInsertAllNodesDown(t *testing.T) {
 	c, nodes := testCluster(t, 8, 2)
 	for _, n := range nodes {
@@ -315,8 +332,10 @@ func TestServerStats(t *testing.T) {
 		total.Lookups += s.Lookups
 		total.Hits += s.Hits
 	}
-	if total.Inserts != 2 {
-		t.Errorf("inserts = %d, want K=2", total.Inserts)
+	// One insert frame per distinct replica AS: two replicas hashed to
+	// one AS share a frame.
+	if want := len(distinctASs(t, c, e.GUID)); total.Inserts != int64(want) {
+		t.Errorf("inserts = %d, want %d (the distinct replica ASs)", total.Inserts, want)
 	}
 	if total.Hits < 1 {
 		t.Errorf("hits = %d", total.Hits)

@@ -19,6 +19,16 @@ import (
 	"dmap/internal/wire"
 )
 
+// muxRoundTrip runs one untraced request through both halves of a mux
+// attempt, send then wait, the way the retry policy does.
+func muxRoundTrip(m *muxConn, t wire.MsgType, payload []byte, timeout time.Duration) (wire.MsgType, []byte, error) {
+	id, s, err := m.send(t, trace.Context{}, payload, timeout)
+	if err != nil {
+		return 0, nil, err
+	}
+	return m.wait(id, s, time.Now().Add(timeout))
+}
+
 // TestMain lets scripts/check.sh run this package with buffer poisoning
 // on (DMAP_POISON_BUFS=1): released pooled buffers are scribbled over,
 // so a response body used after putBody corrupts visibly under -race
@@ -32,7 +42,7 @@ func TestMain(m *testing.M) {
 
 // TestMuxSlotRecycleUnderTimeoutRaces drives one muxConn with request
 // timeouts tuned to straddle the server's reply delays, so the three
-// do() outcomes — clean reply, clean timeout, and reply-beats-timer
+// send+wait outcomes — clean reply, clean timeout, and reply-beats-timer
 // race — all occur while slots, timers and body buffers recycle. Every
 // reply is the request's own payload echoed back; any slot cross-wiring
 // or premature buffer recycle surfaces as a payload mismatch.
@@ -97,7 +107,7 @@ func TestMuxSlotRecycleUnderTimeoutRaces(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				want := []byte(fmt.Sprintf("req-%d-%d", g, i))
-				typ, body, err := m.do(wire.MsgLookup, trace.Context{}, want, timeout)
+				typ, body, err := muxRoundTrip(m, wire.MsgLookup, want, timeout)
 				switch {
 				case err == nil:
 					if typ != wire.MsgLookupResp || !bytes.Equal(body, want) {
@@ -142,7 +152,7 @@ func TestMuxFailDrainsInflight(t *testing.T) {
 		started.Add(1)
 		go func(i int) {
 			started.Done()
-			_, body, err := m.do(wire.MsgLookup, trace.Context{}, []byte{byte(i)}, time.Minute)
+			_, body, err := muxRoundTrip(m, wire.MsgLookup, []byte{byte(i)}, time.Minute)
 			putBody(body)
 			errs <- err
 		}(i)

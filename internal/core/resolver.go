@@ -104,7 +104,8 @@ func (r *Resolver) PlaceReplica(g guid.GUID, replica int) (Placement, error) {
 
 // Place returns all K placements for g, in replica order. Distinct
 // replicas may land on the same AS (the paper accepts this; with ~26k
-// candidate ASs it is rare).
+// candidate ASs it is rare). Clients send one copy per distinct AS: the
+// node stores a GUID once however many of its replicas it hosts.
 func (r *Resolver) Place(g guid.GUID) ([]Placement, error) {
 	out, err := r.PlaceInto(g, make([]Placement, 0, r.hasher.K()))
 	if err != nil {

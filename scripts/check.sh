@@ -40,11 +40,13 @@ go test -race ./internal/crashtest/
 # Pool paths under load: the buffer-ownership refactor (DESIGN.md §9)
 # recycles frame payloads, response slots and encode scratch through
 # free lists, so a lifetime bug is a cross-goroutine race by
-# construction. Hammer the mux and the coalescing writer under -race
-# with buffer poisoning on, so a buffer released while still referenced
-# is overwritten with a sentinel instead of silently surviving.
+# construction. Hammer the mux, the coalescing writer and the write
+# fan-out (TestInsert*: a write's payload lives across its sends, waits
+# and retry goroutines) under -race with buffer poisoning on, so a
+# buffer released while still referenced is overwritten with a sentinel
+# instead of silently surviving.
 DMAP_POISON_BUFS=1 go test -race \
-    -run 'TestMux|TestPlacementPool|TestWriter|TestBufPool|TestAppend|TestDecodedValuesSurvive|TestReadFrame' \
+    -run 'TestMux|TestPlacementPool|TestWriter|TestBufPool|TestAppend|TestDecodedValuesSurvive|TestReadFrame|TestInsert' \
     ./internal/client/... ./internal/wire/...
 
 # Fuzz smoke on the trace-context wire extension: ten seconds of live
